@@ -130,7 +130,7 @@ def stability(argv):
             drift = (b[1] - a[1]) / a[1] if a[1] else 0.0
             if not lower_better[name]:
                 drift = -drift
-            spreads_ok = name == "setup_s" or (spread_a <= bound and spread_b <= bound)
+            spreads_ok = spread_a <= bound and spread_b <= bound
             ok = spreads_ok and drift <= bound
             all_ok &= ok
             print(f"  {name:<20} {a[0]:>10.4g} {a[1]:>10.4g} {a[2]:>10.4g} {b[0]:>10.4g} {b[1]:>10.4g} {b[2]:>10.4g} "

@@ -11,13 +11,17 @@ use std::time::{Duration, Instant};
 use dc_mbqc::{CompileSession, DistributedSchedule, Transpiled};
 use mbqc_net::Client;
 use mbqc_pattern::{transpile, Pattern};
+use mbqc_util::rng::Rng;
 
 use crate::checks::check_schedule;
 use crate::front::{net_overhead_ms, remote_compile, Front};
 use crate::layers::{artifact_layers, service_layers, traced_compile, Artifact, StageSamples};
 use crate::programs::{self, Program, MAP_WORKERS};
-use crate::stats::{geomean, median, ms, peak_rss_mib, quantile, Metrics, SeedRng};
+use crate::stats::{geomean, median, ms, peak_rss_mib, quantile, Metrics};
 use crate::{Outcome, SETUP_REPS};
+
+/// Set-ups repeated after each pass (see `run`).
+const SETUP_REPS_PER_PASS: usize = 3;
 
 /// Which compile workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,19 +228,23 @@ pub fn run(which: Which, seed: u64, seconds: f64, trace: bool, scratch: &Path) -
     // Set-up: generate every circuit and configuration, and warm the
     // pipeline with one checked compile of the first program.
     let mut setup = Vec::new();
-    let mut programs = Vec::new();
-    for _ in 0..SETUP_REPS {
+    let mut set_up = || {
         let t = Instant::now();
-        programs = black_box(which.programs(seed));
+        let programs = black_box(which.programs(seed));
         let warm = compile_circuit(&programs[0].circuit, &programs[0].config);
         setup.push(t.elapsed().as_secs_f64());
         if let Err(e) = warm {
             eprintln!("set-up compile of {}: {e}", programs[0].name);
             std::process::exit(1);
         }
+        programs
+    };
+    let mut programs = Vec::new();
+    for _ in 0..SETUP_REPS {
+        programs = set_up();
     }
 
-    let mut rng = SeedRng::new(seed, 1);
+    let mut rng = Rng::seed_from_u64(seed);
     let min = which.min_compiles();
     let mut tally = Tally::default();
     let start = Instant::now();
@@ -259,6 +267,12 @@ pub fn run(which: Which, seed: u64, seconds: f64, trace: bool, scratch: &Path) -
             }
         }
         pass += 1;
+        // More set-ups between passes, outside every timed compile, so
+        // `setup_s` samples the machine across the run like the other
+        // metrics rather than only at its start.
+        for _ in 0..SETUP_REPS_PER_PASS {
+            black_box(set_up());
+        }
         let whole_round = !trace || pass.is_multiple_of(2);
         // Untraced runs also keep going to their minimum sample count.
         let enough = trace || tally.cold_ms.len() >= min;
@@ -401,10 +415,12 @@ fn service_probe(
     for a in &artifacts {
         let variant = programs::with_kmax(a.config, 2);
         let remote = remote_compile(&mut client, a.pattern, &variant)?;
-        let local = CompileSession::new(variant.clone())
-            .with_map_workers(MAP_WORKERS)
-            .compile_pattern(a.pattern)
-            .map_err(|e| e.to_string())?;
+        let local = guarded(|| {
+            CompileSession::new(variant.clone())
+                .with_map_workers(MAP_WORKERS)
+                .compile_pattern(a.pattern)
+                .map_err(|e| e.to_string())
+        })?;
         if remote != local {
             return Err("K_max variant differs from in-process compile".into());
         }

@@ -15,6 +15,14 @@ use mbqc_service::{CompileService, ServiceConfig, StoreConfig};
 use crate::programs::SERVICE_WORKERS;
 use crate::stats::{median, ms};
 
+/// Disk-tier budget. The disk tier's files are mapped into the
+/// process, so without a budget the resident set grows with every job
+/// served and `peak_rss_mb` would track throughput; `service_mix`
+/// writes this much within its first seconds, after which the tier
+/// evicts and the resident set levels off. It holds several times the
+/// mix's repeat working set, so repeats still hit.
+const DISK_BUDGET: usize = 128 << 20;
+
 /// A running service and its TCP front door. Dropping it shuts the
 /// server down, drains the service and then deletes the disk tier
 /// (fields drop in declaration order).
@@ -35,7 +43,8 @@ impl Drop for DirGuard {
 
 impl Front {
     /// Starts a service with `SERVICE_WORKERS` workers, a memory tier of
-    /// `memory_capacity` bytes and a fresh disk tier in `dir`.
+    /// `memory_capacity` bytes and a fresh disk tier of `DISK_BUDGET`
+    /// bytes in `dir`.
     pub fn start(dir: &Path, memory_capacity: usize) -> std::io::Result<Front> {
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir)?;
@@ -44,6 +53,7 @@ impl Front {
             store: StoreConfig {
                 memory_capacity,
                 disk_dir: Some(dir.to_path_buf()),
+                disk_capacity: Some(DISK_BUDGET),
                 ..StoreConfig::default()
             },
             ..ServiceConfig::default()

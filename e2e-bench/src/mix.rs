@@ -5,11 +5,13 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dc_mbqc::{CompileSession, DcMbqcConfig, DistributedSchedule};
 use mbqc_net::Client;
 use mbqc_pattern::{transpile, Pattern};
+use mbqc_util::rng::Rng;
 use mbqc_util::Fingerprint;
 
 use crate::checks::check_schedule;
@@ -17,7 +19,7 @@ use crate::compile::{compile_circuit, decode_timed, guarded};
 use crate::front::{net_overhead_ms, remote_compile, Front};
 use crate::layers::{artifact_layers, service_layers, traced_compile, Artifact, StageSamples};
 use crate::programs::{self, Program, MAP_WORKERS};
-use crate::stats::{geomean, median, ms, peak_rss_mib, quantile, Metrics, SeedRng};
+use crate::stats::{geomean, median, ms, peak_rss_mib, quantile, Metrics};
 use crate::{Outcome, SETUP_REPS};
 
 /// Client connections (one closed-loop generator each).
@@ -25,11 +27,12 @@ const CLIENTS: usize = 2;
 /// Memory-tier budget: well below the run's artifact working set, so
 /// warm hits come from both the memory and the disk tier.
 const MEMORY_BUDGET: usize = 8 << 20;
-/// Jobs per owned base program in one round of a client's stream
-/// (after its first round of one fresh job per owned base): one fresh
-/// job, one repeat of the base's latest job, two repeats of any earlier
-/// job of the base, and one K_max variant. Whole rounds keep the class
-/// and program make-up of every run identical.
+/// Jobs per owned base program in one round of a client's stream: one
+/// fresh job, one repeat of the base's latest job, two repeats of one of
+/// its recent jobs, and one K_max variant. In the first round a base's
+/// fresh job comes before its other slots. Whole rounds keep the class
+/// and program make-up of every run identical. The 20/60/20 split is an
+/// assumption, not a measured production mix (see README).
 const ROUND: [Item; 5] = [
     Item::Fresh,
     Item::RepeatLatest,
@@ -46,6 +49,14 @@ const VARIANT_KMAX: [usize; 6] = [1, 2, 3, 5, 6, 8];
 /// Tail percentiles: cold jobs (p90) and warm hits (p95).
 const COLD_TAIL: f64 = 0.90;
 const WARM_TAIL: f64 = 0.95;
+/// The known-fault job checked once per client round: this base under
+/// this compiler seed, compiled in process with two probe workers,
+/// panics in speculative α-probing (README, "Known faults"). Fixed, so
+/// it fails the same way whatever the workload seed.
+const FAULT_BASE: &str = "VQE-36/T3";
+const FAULT_SEED: u64 = 2031;
+/// The panic message of that fault.
+const ALPHA_FAULT: &str = "alpha must be at least 1";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -86,27 +97,21 @@ struct Done {
 /// seed and on the client's own completed jobs, never on timing. Each
 /// client owns every `CLIENTS`-th base program.
 struct Stream {
-    rng: SeedRng,
-    client: usize,
-    seed: u64,
+    rng: Rng,
     owned: Vec<usize>,
     pending: Vec<(Item, usize)>,
     fresh_count: u64,
+    rounds: u64,
 }
 
 impl Stream {
-    fn new(seed: u64, client: usize, bases: usize) -> Stream {
-        let mut rng = SeedRng::new(seed, 100 + client as u64);
-        let owned: Vec<usize> = (client..bases).step_by(CLIENTS).collect();
-        let mut pending: Vec<(Item, usize)> = owned.iter().map(|&b| (Item::Fresh, b)).collect();
-        rng.shuffle(&mut pending);
+    fn new(rng: Rng, client: usize, bases: usize) -> Stream {
         Stream {
             rng,
-            client,
-            seed,
-            owned,
-            pending,
+            owned: (client..bases).step_by(CLIENTS).collect(),
+            pending: Vec::new(),
             fresh_count: 0,
+            rounds: 0,
         }
     }
 
@@ -122,6 +127,23 @@ impl Stream {
                 self.pending.extend(ROUND.iter().map(|&item| (item, b)));
             }
             self.rng.shuffle(&mut self.pending);
+            if self.rounds == 0 {
+                // Jobs pop from the end: each base's fresh job moves to
+                // the last of its slots, so it runs before anything
+                // revisits the base.
+                for &b in &self.owned {
+                    let of_base = |&(_, base): &(Item, usize)| base == b;
+                    let last = self.pending.iter().rposition(of_base);
+                    let fresh = self
+                        .pending
+                        .iter()
+                        .position(|&(item, base)| item == Item::Fresh && base == b);
+                    if let (Some(last), Some(fresh)) = (last, fresh) {
+                        self.pending.swap(last, fresh);
+                    }
+                }
+            }
+            self.rounds += 1;
         }
         let (item, base) = self.pending.pop().expect("round refilled above");
         let first = self.fresh_count < self.owned.len() as u64;
@@ -143,7 +165,7 @@ impl Stream {
             ),
             (Item::RepeatAny, Some(_), _) => {
                 let recent = &of_base[of_base.len().saturating_sub(REPEAT_WINDOW)..];
-                let i = recent[self.rng.below(recent.len())];
+                let i = recent[self.rng.range(recent.len())];
                 (
                     JobSpec {
                         class: Class::Repeat,
@@ -154,7 +176,7 @@ impl Stream {
             }
             (Item::Variant, _, Some(i)) => {
                 let left = &mut done[i].variants_left;
-                let kmax = left.remove(self.rng.below(left.len()));
+                let kmax = left.remove(self.rng.range(left.len()));
                 (
                     JobSpec {
                         class: Class::Variant,
@@ -172,11 +194,7 @@ impl Stream {
                 let seed = if first {
                     programs::COMPILER_SEED
                 } else {
-                    SeedRng::new(
-                        self.seed,
-                        ((self.client as u64 + 1) << 32) | self.fresh_count,
-                    )
-                    .next_u64()
+                    self.rng.next_u64()
                 };
                 (
                     JobSpec {
@@ -192,13 +210,11 @@ impl Stream {
     }
 }
 
-/// The configuration of a job. Jobs ask for one restart-probe worker:
-/// a service with more than one worker pins that count itself, and the
-/// in-process oracle of check (f) must run the same partitioner path.
+/// The configuration of a job: its base's (with `PROBE_WORKERS` probe
+/// workers) under the job's compiler seed and K_max.
 fn job_config(bases: &[Program], spec: &JobSpec) -> DcMbqcConfig {
-    let base = &bases[spec.base].config;
     programs::with_kmax(
-        &base.clone().with_seed(spec.seed).with_probe_workers(1),
+        &bases[spec.base].config.clone().with_seed(spec.seed),
         spec.kmax,
     )
 }
@@ -208,6 +224,7 @@ fn job_config(bases: &[Program], spec: &JobSpec) -> DcMbqcConfig {
 struct ClientLog {
     attempted: u64,
     failed: u64,
+    rounds: u64,
     samples: Vec<(Class, usize, f64)>,
     done: Vec<Done>,
     first: BTreeMap<usize, DistributedSchedule>,
@@ -218,11 +235,11 @@ fn drive(
     client: &mut Client,
     bases: &[Program],
     patterns: &[Pattern],
-    seed: u64,
+    rng: Rng,
     start: Instant,
     seconds: f64,
 ) -> ClientLog {
-    let mut stream = Stream::new(seed, client_id, bases.len());
+    let mut stream = Stream::new(rng, client_id, bases.len());
     let mut log = ClientLog::default();
     let (min_cold, min_warm) = (
         crate::compile::min_samples(COLD_TAIL).div_ceil(CLIENTS),
@@ -232,6 +249,7 @@ fn drive(
         if stream.at_round_end() && start.elapsed().as_secs_f64() >= seconds {
             let count = |c: Class| log.samples.iter().filter(|s| s.0 == c).count();
             if count(Class::Fresh) >= min_cold && count(Class::Repeat) >= min_warm {
+                log.rounds = stream.rounds;
                 break;
             }
         }
@@ -280,23 +298,46 @@ fn drive(
     log
 }
 
+/// In-process `compile_pattern` of one job: the oracle of check (f).
+fn oracle(pattern: &Pattern, config: &DcMbqcConfig) -> Result<DistributedSchedule, String> {
+    guarded(|| {
+        CompileSession::new(config.clone())
+            .with_map_workers(MAP_WORKERS)
+            .compile_pattern(pattern)
+            .map_err(|e| e.to_string())
+    })
+}
+
 /// Check (f): every distinct job's remote result equals the in-process
 /// `compile_pattern` of the same (pattern, config). Runs after the
-/// timed window on two threads; returns the number of mismatches.
-fn verify_in_process(bases: &[Program], patterns: &[Pattern], done: &[Done]) -> u64 {
-    let next = std::sync::atomic::AtomicUsize::new(0);
+/// timed window on two threads; returns the number of mismatches and
+/// the number of jobs whose oracle hit the known α-probing fault.
+///
+/// That fault strikes only some compiler seeds, so how often it shows
+/// depends on the workload seed; a job it hits is compared with the
+/// one-probe-worker compile the service itself runs, and the hit is
+/// tallied apart from the failed operations. The fault is counted as
+/// failed by `known_fault_ops`, on a fixed job.
+fn verify_in_process(bases: &[Program], patterns: &[Pattern], done: &[Done]) -> (u64, u64) {
+    let next = AtomicUsize::new(0);
     let work = || {
-        let mut bad = 0u64;
+        let (mut bad, mut faults) = (0u64, 0u64);
         loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(d) = done.get(i) else { return bad };
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(d) = done.get(i) else {
+                return (bad, faults);
+            };
             let config = job_config(bases, &d.spec);
-            let local = guarded(|| {
-                CompileSession::new(config.clone())
-                    .with_map_workers(MAP_WORKERS)
-                    .compile_pattern(&patterns[d.spec.base])
-                    .map_err(|e| e.to_string())
-            });
+            let pattern = &patterns[d.spec.base];
+            let mut local = oracle(pattern, &config);
+            if local.as_ref().is_err_and(|e| e.contains(ALPHA_FAULT)) {
+                faults += 1;
+                eprintln!(
+                    "(f) {} {:?}: two-probe oracle hit the α-probing fault",
+                    bases[d.spec.base].name, d.spec
+                );
+                local = oracle(pattern, &config.with_probe_workers(1));
+            }
             match local {
                 Ok(s) if Fingerprint::of(&s.to_bytes()) == d.fingerprint => {}
                 other => {
@@ -309,9 +350,47 @@ fn verify_in_process(bases: &[Program], patterns: &[Pattern], done: &[Done]) -> 
     };
     std::thread::scope(|s| {
         let h = s.spawn(work);
-        let mine = work();
-        mine + h.join().expect("verifier thread")
+        let (bad, faults) = work();
+        let (h_bad, h_faults) = h.join().expect("verifier thread");
+        (bad + h_bad, faults + h_faults)
     })
+}
+
+/// The operation that ends every client round: the known-fault job
+/// compiled in process with two probe workers must equal its
+/// one-probe-worker compile. Returns how many of `rounds` such
+/// operations failed.
+fn known_fault_ops(bases: &[Program], patterns: &[Pattern], rounds: u64) -> u64 {
+    let b = bases
+        .iter()
+        .position(|p| p.name == FAULT_BASE)
+        .expect("the known-fault base is a mix base");
+    let config = bases[b].config.clone().with_seed(FAULT_SEED);
+    let reference = oracle(&patterns[b], &config.clone().with_probe_workers(1));
+    // Each failure panics; one line says why instead of one per round.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut failed = 0;
+    let mut last_err = None;
+    for _ in 0..rounds {
+        match (oracle(&patterns[b], &config), &reference) {
+            (Ok(s), Ok(r)) if s == *r => {}
+            (Ok(_), _) => failed += 1,
+            (Err(e), _) => {
+                failed += 1;
+                last_err = Some(e);
+            }
+        }
+    }
+    std::panic::set_hook(hook);
+    if failed > 0 {
+        eprintln!(
+            "known fault: {failed} of {rounds} two-probe compiles of {FAULT_BASE} \
+             (compiler seed {FAULT_SEED}) failed: {}",
+            last_err.unwrap_or_else(|| "result differs".into())
+        );
+    }
+    failed
 }
 
 pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
@@ -319,9 +398,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
     // service with a fresh disk tier and its TCP front door, connect
     // the clients.
     let mut setup = Vec::new();
-    let mut ready = None;
-    for _ in 0..SETUP_REPS {
-        drop(ready.take());
+    let mut set_up = || {
         let t = Instant::now();
         let bases = programs::mix_bases();
         let patterns: Vec<Pattern> = bases.iter().map(|p| transpile(&p.circuit)).collect();
@@ -332,18 +409,24 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
             .collect();
         setup.push(t.elapsed().as_secs_f64());
         drop(warm);
-        ready = Some((bases, patterns, clients, front));
+        (bases, patterns, clients, front)
+    };
+    let mut ready = None;
+    for _ in 0..SETUP_REPS {
+        drop(ready.take());
+        ready = Some(set_up());
     }
     let (bases, patterns, mut clients, front) = ready.expect("set up at least once");
 
+    let mut rng = Rng::seed_from_u64(seed);
     let start = Instant::now();
     let logs: Vec<ClientLog> = std::thread::scope(|s| {
         let handles: Vec<_> = clients
             .iter_mut()
             .enumerate()
             .map(|(c, client)| {
-                let (bases, patterns) = (&bases, &patterns);
-                s.spawn(move || drive(c, client, bases, patterns, seed, start, seconds))
+                let (bases, patterns, rng) = (&bases, &patterns, rng.fork());
+                s.spawn(move || drive(c, client, bases, patterns, rng, start, seconds))
             })
             .collect();
         handles
@@ -355,7 +438,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
     let peak_rss = peak_rss_mib();
     let stats = front.service.stats();
 
-    let mut attempted: u64 = logs.iter().map(|l| l.attempted).sum();
+    let rounds: u64 = logs.iter().map(|l| l.rounds).sum();
+    let mut attempted: u64 = logs.iter().map(|l| l.attempted).sum::<u64>() + rounds;
     let mut failed: u64 = logs.iter().map(|l| l.failed).sum();
     let samples: Vec<(Class, usize, f64)> = logs
         .iter()
@@ -440,7 +524,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
             .map(|s| s.required_photon_lifetime() as f64)
             .collect();
         let layers: Vec<f64> = first.values().map(|s| s.execution_time() as f64).collect();
-        m.put("setup_s", median(&setup), "s");
         m.put("peak_rss_mb", peak_rss, "MiB");
         m.put("compile_ms_geomean", geomean(&per_base_cold), "ms");
         m.put("knodes_per_s", nodes / 1e3 / window, "knodes/s");
@@ -459,8 +542,21 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scratch: &Path) -> Outcome {
     drop(clients);
     drop(front);
 
-    let mismatches = verify_in_process(&bases, &patterns, &done);
-    failed += mismatches;
+    let (mismatches, faults) = verify_in_process(&bases, &patterns, &done);
+    println!(
+        "check (f): {mismatches} mismatches over {} distinct jobs; {faults} two-probe \
+         oracles hit the known α-probing fault (not counted as failed: seed-dependent)",
+        done.len()
+    );
+    failed += mismatches + known_fault_ops(&bases, &patterns, rounds);
+    if !trace {
+        // As many set-ups again, half a minute and more after the first
+        // ones, so `setup_s` samples the machine at both ends of the run.
+        for _ in 0..SETUP_REPS {
+            drop(set_up());
+        }
+        m.put("setup_s", median(&setup), "s");
+    }
     Outcome {
         metrics: m,
         attempted,
